@@ -32,6 +32,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"os"
@@ -80,6 +81,14 @@ func parseFlags(args []string) (*options, error) {
 	fs.BoolVar(&o.scrape, "scrape", false, "fetch /metrics after the run and report the server-side cache hit ratio")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"seconds", o.seconds}, {"ramp", o.ramp}, {"wait", o.wait}, {"max-error-rate", o.maxErrorRate}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return nil, fmt.Errorf("-%s must be finite, got %g", f.name, f.v)
+		}
 	}
 	if o.seconds <= 0 {
 		return nil, fmt.Errorf("-seconds must be > 0, got %g", o.seconds)

@@ -23,6 +23,11 @@ func TestParseFlagsRejectsBadValues(t *testing.T) {
 		{"-ids", "0"},
 		{"-wait", "-1"},
 		{"-max-error-rate", "-1"},
+		{"-seconds", "NaN"},
+		{"-seconds", "Inf"},
+		{"-ramp", "NaN"},
+		{"-wait", "+Inf"},
+		{"-max-error-rate", "NaN"},
 		{"-format", "xml"},
 		{"-mix", "bogus=1"},
 		{"-mix", "meta"},

@@ -27,6 +27,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"time"
@@ -70,8 +71,8 @@ func parseFlags(args []string) (*options, error) {
 	if o.workers < 0 {
 		return nil, fmt.Errorf("-workers must be non-negative, got %d", o.workers)
 	}
-	if o.scale < 0 {
-		return nil, fmt.Errorf("-scale must be non-negative, got %g", o.scale)
+	if math.IsNaN(o.scale) || math.IsInf(o.scale, 0) || o.scale < 0 {
+		return nil, fmt.Errorf("-scale must be finite and non-negative, got %g", o.scale)
 	}
 	if o.shards < 0 {
 		return nil, fmt.Errorf("-shards must be non-negative, got %d", o.shards)
@@ -79,8 +80,9 @@ func parseFlags(args []string) (*options, error) {
 	if o.segmentRows < 0 {
 		return nil, fmt.Errorf("-segment-rows must be non-negative, got %d", o.segmentRows)
 	}
-	if o.traceEvery <= 0 {
-		return nil, fmt.Errorf("-trace-every must be > 0, got %g", o.traceEvery)
+	if math.IsNaN(o.traceEvery) || math.IsInf(o.traceEvery, 0) ||
+		o.traceEvery*float64(simtime.Hour) < float64(simtime.Second) {
+		return nil, fmt.Errorf("-trace-every must be finite and at least 1 virtual second, got %g hours", o.traceEvery)
 	}
 	return o, nil
 }

@@ -28,12 +28,12 @@ func TestParseFlagsDefaults(t *testing.T) {
 
 func TestParseFlagsOverrides(t *testing.T) {
 	o, err := parseFlags([]string{"-seed", "7", "-days", "3", "-workers", "4", "-scale", "20",
-		"-shards", "4", "-segment-rows", "4096"})
+		"-shards", "4", "-segment-rows", "4096", "-trace-every", "0.0003"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if o.seed != 7 || o.days != 3 || o.workers != 4 || o.scale != 20 || o.shards != 4 ||
-		o.segmentRows != 4096 {
+		o.segmentRows != 4096 || o.traceEvery != 0.0003 {
 		t.Errorf("overrides lost: %+v", o)
 	}
 	if cfg := o.config(); cfg.Seed != 7 || cfg.Days != 3 || cfg.Scale != 20 || cfg.Shards != 4 ||
@@ -48,11 +48,17 @@ func TestParseFlagsRejectsBadValues(t *testing.T) {
 		{"-days", "-2"},
 		{"-seed", "x"},
 		{"-scale", "-1"},
+		{"-scale", "NaN"},
+		{"-scale", "Inf"},
+		{"-scale", "-Inf"},
 		{"-workers", "-1"},
 		{"-shards", "-2"},
 		{"-segment-rows", "-1"},
 		{"-trace-every", "0"},
 		{"-trace-every", "-3"},
+		{"-trace-every", "NaN"},
+		{"-trace-every", "Inf"},
+		{"-trace-every", "0.0002"}, // 0.72 virtual seconds
 		{"-unknown"},
 	} {
 		if _, err := parseFlags(args); err == nil {

@@ -26,6 +26,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -82,8 +83,8 @@ func parseFlags(args []string) (*options, error) {
 	if o.quick && o.days != 0 {
 		return nil, errors.New("-quick and -days are mutually exclusive")
 	}
-	if o.scale < 0 {
-		return nil, fmt.Errorf("-scale must be >= 0, got %g", o.scale)
+	if math.IsNaN(o.scale) || math.IsInf(o.scale, 0) || o.scale < 0 {
+		return nil, fmt.Errorf("-scale must be finite and >= 0, got %g", o.scale)
 	}
 	if o.shards < 0 {
 		return nil, fmt.Errorf("-shards must be >= 0, got %d", o.shards)
@@ -102,8 +103,9 @@ func parseFlags(args []string) (*options, error) {
 	}
 	// -every is validated unconditionally (not just with -live): a bad
 	// value should fail up front, not lie dormant until -live is added.
-	if o.everyHours <= 0 {
-		return nil, fmt.Errorf("-every must be > 0, got %g", o.everyHours)
+	if math.IsNaN(o.everyHours) || math.IsInf(o.everyHours, 0) ||
+		o.everyHours*float64(simtime.Hour) < float64(simtime.Second) {
+		return nil, fmt.Errorf("-every must be finite and at least 1 virtual second, got %g hours", o.everyHours)
 	}
 	return o, nil
 }

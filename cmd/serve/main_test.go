@@ -26,6 +26,8 @@ func TestParseFlagsRejectsBadValues(t *testing.T) {
 		{"-days", "-1"},
 		{"-quick", "-days", "3"},
 		{"-scale", "-0.5"},
+		{"-scale", "NaN"},
+		{"-scale", "Inf"},
 		{"-shards", "-1"},
 		{"-segment-rows", "-8"},
 		{"-match-workers", "-2"},
@@ -35,6 +37,9 @@ func TestParseFlagsRejectsBadValues(t *testing.T) {
 		{"-live", "-every", "-2"},
 		{"-every", "0"},  // rejected even without -live
 		{"-every", "-2"}, // rejected even without -live
+		{"-live", "-every", "NaN"},
+		{"-live", "-every", "Inf"},
+		{"-live", "-every", "0.0002"}, // 0.72 virtual seconds
 		{"-nosuch"},
 	}
 	for _, args := range cases {

@@ -24,6 +24,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"time"
 
@@ -56,7 +57,7 @@ func parseFlags(args []string) (*options, error) {
 	fs.IntVar(&o.scenarios, "scenarios", 0, "run only the first N scenarios of the grid (0 = all)")
 	fs.IntVar(&o.workers, "workers", 0, "concurrent scenarios (0 = all cores, 1 = serial)")
 	fs.IntVar(&o.matchWorkers, "match-workers", 1, "matcher goroutines per scenario (0 = all cores)")
-	fs.IntVar(&o.shards, "shards", 0, "metastore shards per worker store (0 = default)")
+	fs.IntVar(&o.shards, "shards", 0, "metastore shards per scenario store (0 = default)")
 	fs.IntVar(&o.segmentRows, "segment-rows", 0, "metastore per-shard segment-seal threshold (0 = default)")
 	fs.StringVar(&o.format, "format", "markdown", "report format: markdown or json")
 	fs.StringVar(&o.trace, "trace", "", "write a JSONL run trace to this file")
@@ -89,16 +90,20 @@ func parseFlags(args []string) (*options, error) {
 	if o.segmentRows < 0 {
 		return nil, fmt.Errorf("-segment-rows must be >= 0, got %d", o.segmentRows)
 	}
-	if o.traceEvery <= 0 {
-		return nil, fmt.Errorf("-trace-every must be > 0, got %g", o.traceEvery)
+	if math.IsNaN(o.traceEvery) || math.IsInf(o.traceEvery, 0) ||
+		o.traceEvery*float64(simtime.Hour) < float64(simtime.Second) {
+		return nil, fmt.Errorf("-trace-every must be finite and at least 1 virtual second, got %g hours", o.traceEvery)
 	}
 	return o, nil
 }
 
 // buildGrid materializes the selected canned grid, truncated to the first
-// -scenarios entries.
+// -scenarios entries. The store layout flags ride on the base config, so
+// every scenario carries them into its own sim.Run.
 func buildGrid(o *options) []sweep.Scenario {
 	base := sim.QuickConfig(o.seed)
+	base.Shards = o.shards
+	base.SegmentRows = o.segmentRows
 	var scenarios []sweep.Scenario
 	switch o.grid {
 	case "robustness":
@@ -123,8 +128,6 @@ func run(o *options) (string, error) {
 	opt := sweep.Options{
 		Workers:      o.workers,
 		MatchWorkers: o.matchWorkers,
-		Shards:       o.shards,
-		SegmentRows:  o.segmentRows,
 	}
 	if o.trace != "" {
 		f, err := os.Create(o.trace)

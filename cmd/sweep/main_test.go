@@ -30,6 +30,9 @@ func TestParseFlagsRejectsBadValues(t *testing.T) {
 		{"-segment-rows", "-1"},
 		{"-trace-every", "0"},
 		{"-trace-every", "-1"},
+		{"-trace-every", "NaN"},
+		{"-trace-every", "Inf"},
+		{"-trace-every", "0.0002"}, // 0.72 virtual seconds
 		{"-bogus"},
 	} {
 		if _, err := parseFlags(args); err == nil {
@@ -55,6 +58,24 @@ func TestBuildGridSelectionAndTruncation(t *testing.T) {
 	o, _ = parseFlags([]string{"-grid", "seeds"})
 	if got := len(buildGrid(o)); got != 8 {
 		t.Errorf("seeds grid has %d scenarios, want 8", got)
+	}
+}
+
+// TestBuildGridCarriesStoreLayout pins the layout flags onto every
+// scenario's config. Reports are byte-identical across layouts, so the
+// output tests cannot notice a dropped -shards or -segment-rows.
+func TestBuildGridCarriesStoreLayout(t *testing.T) {
+	for _, grid := range []string{"robustness", "seeds", "mix", "verify"} {
+		o, err := parseFlags([]string{"-grid", grid, "-shards", "3", "-segment-rows", "512"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sc := range buildGrid(o) {
+			if sc.Config.Shards != 3 || sc.Config.SegmentRows != 512 {
+				t.Errorf("%s/%s: Shards=%d SegmentRows=%d, want 3 and 512",
+					grid, sc.ID, sc.Config.Shards, sc.Config.SegmentRows)
+			}
+		}
 	}
 }
 

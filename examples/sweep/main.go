@@ -2,7 +2,8 @@
 // intensity), run it concurrently through the sweep engine, and print the
 // aggregate markdown report plus one derived curve. Shows the three
 // layers of internal/sweep: grid construction (Expand / canned axes), the
-// bounded worker pool with store reuse, and the deterministic report.
+// bounded worker pool with one fresh store per scenario, and the
+// deterministic report.
 package main
 
 import (

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"panrucio/internal/metastore"
 	"panrucio/internal/records"
 	"panrucio/internal/report"
 	"panrucio/internal/simtime"
@@ -123,11 +122,9 @@ func TopRoutes(events []*records.TransferEvent, local bool, k int) []Route {
 }
 
 // BandwidthFigure builds the Fig. 7 (remote) or Fig. 8 (local) panels: the
-// top-k routes of the requested locality with their binned bandwidth
-// series. The window is resolved against the metastore's StartedAt index
-// (a binary-search range slice), not a scan of the event log.
-func BandwidthFigure(store *metastore.Store, local bool, k int, from, to, bucket simtime.VTime) []*report.Series {
-	events := store.Transfers(from, to)
+// top-k routes of the requested locality among events, each with its flow
+// binned over [from, to).
+func BandwidthFigure(events []*records.TransferEvent, local bool, k int, from, to, bucket simtime.VTime) []*report.Series {
 	routes := TopRoutes(events, local, k)
 	var out []*report.Series
 	for _, r := range routes {

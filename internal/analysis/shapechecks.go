@@ -12,7 +12,7 @@ import (
 
 // Check is one qualitative claim of the paper evaluated against a run. The
 // struct is value data (no store or grid pointers), so sweep outcomes can
-// retain checks after their scenario's store has been reset and reused.
+// retain checks after their scenario's store has been released.
 type Check struct {
 	Name   string `json:"name"`
 	OK     bool   `json:"ok"`

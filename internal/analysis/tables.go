@@ -92,7 +92,7 @@ func CompareMethodsParallel(m *core.Matcher, jobs []*records.JobRecord, workers 
 // MethodRates is the value-only summary of one matching pass: the E4/E5
 // numbers with no record or store pointers, so it can be cached, compared,
 // and marshaled long after the store that produced it has moved on or been
-// reset. This is the cache-keyable shape the serving layer stores per
+// released. This is the cache-keyable shape the serving layer stores per
 // (config digest, store epoch).
 type MethodRates struct {
 	Method           string  `json:"method"`

@@ -100,23 +100,11 @@ func matchedEvents(res *core.Result) []*records.TransferEvent {
 	return out
 }
 
-// bandwidthFigure selects the top-k local or remote routes among the
-// RM2-matched transfers (the paper plots matched-transfer bandwidth) and
-// bins their flow.
+// bandwidthFigure plots the top-k local or remote routes among the
+// RM2-matched transfers (the paper plots matched-transfer bandwidth).
 func (s *Suite) bandwidthFigure(local bool, k int) []*report.Series {
-	events := matchedEvents(s.Cmp.RM2)
-	routes := analysis.TopRoutes(events, local, k)
-	var out []*report.Series
-	for _, r := range routes {
-		ser := analysis.BandwidthSeries(analysis.RouteEvents(events, r),
-			s.Result.WindowFrom, s.Result.WindowTo, 5*simtime.Minute)
-		ser.Name = r.String()
-		if r.Local() {
-			ser.Name = "local @ " + r.Src
-		}
-		out = append(out, ser)
-	}
-	return out
+	return analysis.BandwidthFigure(matchedEvents(s.Cmp.RM2), local, k,
+		s.Result.WindowFrom, s.Result.WindowTo, 5*simtime.Minute)
 }
 
 // Fig7 regenerates the remote-connection bandwidth panels (E8).

@@ -11,11 +11,10 @@ const arenaChunkSize = 1 << arenaChunkShift
 // arena is a chunked slab allocator for record structs: records live
 // contiguously in fixed-size chunks instead of as individual heap objects,
 // which removes the per-record allocation header, keeps one shard's records
-// adjacent in memory for the matcher's scans, and lets Reset reuse the
-// chunks via a high-water mark instead of freeing and reallocating.
+// adjacent in memory for the matcher's scans.
 type arena[T any] struct {
 	chunks [][]T
-	n      int // high-water mark: rows in use
+	n      int // rows in use
 }
 
 // put copies v into the next slot and returns its stable address.
@@ -37,17 +36,3 @@ func (a *arena[T]) at(i int) *T {
 
 // len reports the rows in use.
 func (a *arena[T]) len() int { return a.n }
-
-// reset rewinds the high-water mark, zeroing every used slot so stale
-// string and pointer fields cannot pin the previous scenario's memory. The
-// chunks themselves are kept for reuse.
-func (a *arena[T]) reset() {
-	full, rem := a.n>>arenaChunkShift, a.n&(arenaChunkSize-1)
-	for i := 0; i < full; i++ {
-		clear(a.chunks[i])
-	}
-	if rem > 0 {
-		clear(a.chunks[full][:rem])
-	}
-	a.n = 0
-}

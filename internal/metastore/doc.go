@@ -41,10 +41,9 @@
 // queries are single-threaded with ingestion — they maintain per-shard
 // caches — but may interleave with it freely, and background segment
 // sorts overlap ingestion safely (readers synchronize on the seal before
-// touching sealed runs). Reset empties a store for reuse — arena
-// high-water marks rewind keeping their chunks, index maps keep capacity,
-// and the intern table clears so a reused store cannot leak one scenario's
-// strings into the next (the sweep engine gives each worker one store
-// across many scenarios via sim.RunReusing). Reset invalidates everything
-// previously obtained from the store.
+// touching sealed runs).
+//
+// Lifetime: a store holds one scenario's records and is never emptied for
+// reuse, so record pointers and query results stay valid for as long as
+// the store is reachable.
 package metastore

@@ -48,16 +48,6 @@ func (t *internTable) lookup(s string) (uint32, bool) {
 	return id, ok
 }
 
-// reset empties the table for store reuse while keeping the map's
-// capacity. The backing strings are released: a sweep worker's store must
-// not pin one scenario's dataset names through the next (the string-leak
-// fix this table's lifecycle exists for).
-func (t *internTable) reset() {
-	clear(t.ids)
-	clear(t.strs)
-	t.strs = t.strs[:0]
-}
-
 // size reports the number of interned strings.
 func (t *internTable) size() int { return len(t.strs) }
 

@@ -71,8 +71,8 @@ type Store struct {
 
 	// Pending obs-counter deltas, batched on the single-writer ingest path
 	// (a plain increment per put) and flushed to the process-wide metrics
-	// at Freeze/Reset. Batching keeps the put hot loops free of atomic
-	// read-modify-writes; scrapes between flushes read checkpoint-stale
+	// at Freeze. Batching keeps the put hot loops free of atomic read-
+	// modify-writes; scrapes between flushes read checkpoint-stale
 	// counters, which is the granularity the serving layer publishes at
 	// anyway.
 	pendJobs      int64
@@ -103,8 +103,8 @@ func New() *Store { return NewSharded(DefaultShards) }
 
 // NewSharded returns an empty store with n shards (n < 1 selects
 // DefaultShards) and the default segment size. Every query result is
-// byte-identical for any n; the knob trades per-shard freeze/reset
-// parallelism and matcher locality against fixed per-shard overhead.
+// byte-identical for any n; the knob trades per-shard freeze parallelism
+// and matcher locality against fixed per-shard overhead.
 func NewSharded(n int) *Store { return NewShardedSegmented(n, 0) }
 
 // NewShardedSegmented is NewSharded with an explicit seal threshold: each
@@ -309,9 +309,9 @@ func (s *Store) TailRows() int {
 
 // flushIngestMetrics publishes the batched put counters and the tail-size
 // gauge to the process-wide registry. Runs on the ingest/freeze path with
-// freezeMu held (or from Reset), so the pending fields are stable. The
-// gauge is captured before the freeze seals the tails: it reports how many
-// rows had accumulated unsorted since the previous checkpoint.
+// freezeMu held, so the pending fields are stable. The gauge is captured
+// before the freeze seals the tails: it reports how many rows had
+// accumulated unsorted since the previous checkpoint.
 func (s *Store) flushIngestMetrics() {
 	mJobsIngested.Add(s.pendJobs)
 	mFilesIngested.Add(s.pendFiles)
@@ -329,47 +329,6 @@ func (s *Store) Seal() {
 	for _, sh := range s.shards {
 		sh.seal()
 	}
-}
-
-// Reset empties the store for reuse while keeping the arena chunks, index
-// maps, and intern-table capacity, so a long-lived store (one per sweep
-// worker, say) does not rebuild from scratch for every scenario. Shards
-// reset concurrently. The intern table's contents are cleared too — symbols
-// restart at zero and the previous scenario's strings are released, so a
-// reused worker store cannot leak strings across sweep scenarios. After
-// Reset the store is unfrozen and indistinguishable from New()'s result —
-// except that any records, query results, or join entries previously
-// obtained from it are invalidated and must not be used.
-//
-// Reset must not run concurrently with ingestion or queries; the sweep
-// engine guarantees this by giving each worker goroutine its own store.
-func (s *Store) Reset() {
-	s.freezeMu.Lock()
-	defer s.freezeMu.Unlock()
-	s.flushIngestMetrics()
-	mTailRows.Set(0) // the tails are about to be dropped
-	var wg sync.WaitGroup
-	for _, sh := range s.shards {
-		wg.Add(1)
-		go func(sh *shard) {
-			defer wg.Done()
-			sh.reset()
-		}(sh)
-	}
-	wg.Wait()
-	clear(s.jobsByID)
-	s.strings.reset()
-	s.seq = 0
-	s.withTaskID = 0
-	clear(s.taskByActivity)
-	// The merged indices are rebuilt from scratch by every Freeze (ranged
-	// queries alias them), so there is no capacity worth keeping — drop the
-	// references and let the old arrays go.
-	s.jobsByEnd = nil
-	s.evByStart = nil
-	s.lfnIdx = nil
-	s.lfnBuilt = false
-	s.frozen.Store(false)
 }
 
 // pandaTask identifies one job's file-row group: JEDI file rows carry both
@@ -427,7 +386,7 @@ func (s *Store) TransferCount() int {
 }
 
 // InternedStrings reports the number of distinct strings in the intern
-// table — observability for the string-leak contract of Reset.
+// table.
 func (s *Store) InternedStrings() int { return s.strings.size() }
 
 // TransfersWithTaskID counts events that retained a valid jeditaskid (the

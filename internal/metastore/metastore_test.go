@@ -222,44 +222,3 @@ func TestDuplicatePandaIDKeepsBothRows(t *testing.T) {
 		t.Errorf("windowed query returned %d rows", len(got))
 	}
 }
-
-func TestResetReusesStoreAcrossScenarios(t *testing.T) {
-	s := New()
-	fill := func(n int) {
-		for i := 1; i <= n; i++ {
-			s.PutJob(&records.JobRecord{PandaID: int64(i), JediTaskID: 1, EndTime: simtime.VTime(i), Label: records.LabelUser})
-			s.PutFile(&records.FileRecord{PandaID: int64(i), JediTaskID: 1, LFN: "f", Scope: "s", Dataset: "d"})
-			s.PutTransfer(&records.TransferEvent{EventID: int64(i), JediTaskID: 1,
-				LFN: "f", Scope: "s", Dataset: "d", StartedAt: simtime.VTime(i), Activity: records.AnalysisDownload})
-		}
-	}
-	fill(5)
-	s.Freeze()
-	if len(s.JoinEntriesForJob(1, 1)) != 1 {
-		t.Fatal("join entries missing before reset")
-	}
-
-	s.Reset()
-	if s.JobCount() != 0 || s.FileCount() != 0 || s.TransferCount() != 0 || s.TransfersWithTaskID() != 0 {
-		t.Fatalf("reset left records behind: %d/%d/%d", s.JobCount(), s.FileCount(), s.TransferCount())
-	}
-	if got := s.Jobs(0, 100, ""); len(got) != 0 {
-		t.Fatalf("ranged query after reset returned %d jobs", len(got))
-	}
-	if got := s.TaskTransfersByActivity(); len(got) != 0 {
-		t.Fatalf("activity counters survived reset: %v", got)
-	}
-
-	// The second scenario must be indistinguishable from a fresh store.
-	fill(3)
-	if s.TransferCount() != 3 || s.TransfersWithTaskID() != 3 {
-		t.Fatalf("counts after refill: %d transfers, %d with task id", s.TransferCount(), s.TransfersWithTaskID())
-	}
-	if got := s.Jobs(0, 100, records.LabelUser); len(got) != 3 {
-		t.Fatalf("jobs after refill = %d", len(got))
-	}
-	entries := s.JoinEntriesForJob(2, 1)
-	if len(entries) != 1 || len(entries[0].Candidates) != 3 {
-		t.Fatalf("join entries after refill: %d entries", len(entries))
-	}
-}

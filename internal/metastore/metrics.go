@@ -4,11 +4,11 @@ import "panrucio/internal/obs"
 
 // Process-wide metastore metrics, registered in the obs default registry.
 // Counters and histograms aggregate over every store in the process (the
-// sweep engine runs one store per worker).
+// sweep engine runs one store per scenario).
 //
 // The per-row ingest counters and the tail gauge are NOT updated per put:
 // the single-writer ingest path batches them as plain increments on the
-// store and flushes at Freeze/Reset (see flushIngestMetrics), so the put
+// store and flushes at Freeze (see flushIngestMetrics), so the put
 // hot loops carry no atomic read-modify-writes at all. A scrape between
 // flushes therefore reads values as of the last freeze — checkpoint
 // granularity, which is when the serving layer opens read windows anyway.

@@ -94,8 +94,8 @@ func (r *segRun[T]) sortByTime(at func(*T) simtime.VTime) {
 // last seal, whose sorted view is built lazily and cached until the next
 // append invalidates it.
 //
-// The single-writer ingest contract of the store extends here: noteAppend,
-// seal, and reset run only on the ingest path. Sealing is the one
+// The single-writer ingest contract of the store extends here: noteAppend
+// and seal run only on the ingest path. Sealing is the one
 // concurrent step — the segment's rows are captured synchronously, then
 // sorted by a background goroutine so ingestion continues while the sort
 // runs; every reader synchronizes through wait() before touching sealed
@@ -122,7 +122,7 @@ type segIndex[T any] struct {
 
 	// sealing publishes the background sort; committing additionally
 	// publishes the commitment hashes computed after it. Queries only need
-	// the sort (wait); audits, compaction, and reset need the commitments
+	// the sort (wait); audits and compaction need the commitments
 	// too (waitCommits), so hashing stays off the query critical path.
 	sealing    sync.WaitGroup
 	committing sync.WaitGroup
@@ -190,7 +190,7 @@ func (x *segIndex[T]) wait() { x.sealing.Wait() }
 
 // waitCommits blocks until every in-flight seal has finished both its sort
 // and its commitment hashing. Anything that reads or rewrites the hashes —
-// audits, compaction (which carries them), truncation, reset — must use
+// audits, compaction (which carries them), truncation — must use
 // this edge instead of wait.
 func (x *segIndex[T]) waitCommits() { x.committing.Wait() }
 
@@ -320,16 +320,6 @@ func (x *segIndex[T]) single() ([]*T, []uint32) {
 // segments reports the number of sealed segments (observability for the
 // lifecycle tests).
 func (x *segIndex[T]) segments() int { return len(x.sealed) }
-
-// reset rewinds the index for store reuse, waiting out any in-flight
-// segment sort first so a background sorter can never race the arena
-// clear that follows.
-func (x *segIndex[T]) reset() {
-	x.waitCommits()
-	x.sealed = nil
-	x.start = 0
-	x.tail.Store(nil)
-}
 
 // mergeRuns k-way-merges (time, seq)-sorted runs into one globally sorted
 // run, ordering by (time, global sequence) — byte-identical to stable-

@@ -140,20 +140,3 @@ func (sh *shard) liveEntriesForJob(pandaID, jediTaskID int64) []JoinEntry {
 	}
 	return out
 }
-
-// reset rewinds the shard for reuse, keeping arena chunks and map capacity.
-// Segment indices reset first: reset waits out any in-flight background
-// sort, so a sorter can never race the arena clear.
-func (sh *shard) reset() {
-	sh.jobSegs.reset()
-	sh.evSegs.reset()
-	sh.jobs.reset()
-	sh.files.reset()
-	sh.events.reset()
-	sh.jobSeq = sh.jobSeq[:0]
-	sh.evSeq = sh.evSeq[:0]
-	clear(sh.filesByPanda)
-	clear(sh.evByTask)
-	clear(sh.evByTaskKey)
-	sh.entriesByJob = nil
-}

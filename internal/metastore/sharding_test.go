@@ -116,71 +116,6 @@ func TestShardCountEquivalence(t *testing.T) {
 	}
 }
 
-// TestResetClearsInternTable is the string-leak contract: a reused store
-// must not pin one scenario's strings (or symbols) through the next.
-func TestResetClearsInternTable(t *testing.T) {
-	s := metastore.NewSharded(4)
-	st := storetest.Make(7, 500)
-	ingestFrozen(st, s)
-	if s.InternedStrings() == 0 {
-		t.Fatal("ingest interned nothing")
-	}
-	s.Reset()
-	if got := s.InternedStrings(); got != 0 {
-		t.Fatalf("Reset left %d interned strings", got)
-	}
-	if s.JobCount() != 0 || s.FileCount() != 0 || s.TransferCount() != 0 ||
-		s.TransfersWithTaskID() != 0 {
-		t.Fatal("Reset left records behind")
-	}
-	if len(s.Transfers(0, 0)) != 0 || len(s.Jobs(0, 1<<40, "")) != 0 {
-		t.Fatal("Reset left indexed entries behind")
-	}
-	if len(s.TransfersByLFN("f1")) != 0 {
-		t.Fatal("Reset left LFN buckets behind")
-	}
-}
-
-// TestResetReusedStoreMatchesFresh replays scenario B on a store dirtied by
-// scenario A; every query surface must match a fresh store that only ever
-// saw B.
-func TestResetReusedStoreMatchesFresh(t *testing.T) {
-	a, b := storetest.Make(1, 3000), storetest.Make(2, 3000)
-
-	fresh := metastore.NewSharded(4)
-	ingestFrozen(b, fresh)
-
-	reused := metastore.NewSharded(4)
-	ingestFrozen(a, reused)
-	reused.Reset()
-	ingestFrozen(b, reused)
-
-	if reused.InternedStrings() != fresh.InternedStrings() {
-		t.Errorf("interned strings diverged after reuse: %d vs %d",
-			reused.InternedStrings(), fresh.InternedStrings())
-	}
-	if !reflect.DeepEqual(evValues(reused.Transfers(0, 0)), evValues(fresh.Transfers(0, 0))) {
-		t.Fatal("Transfers diverged after reuse")
-	}
-	if !reflect.DeepEqual(jobValues(reused.Jobs(0, 100, "")), jobValues(fresh.Jobs(0, 100, ""))) {
-		t.Fatal("Jobs diverged after reuse")
-	}
-	for panda := int64(0); panda < 40; panda++ {
-		for task := int64(0); task < 17; task++ {
-			re, fe := reused.JoinEntriesForJob(panda, task), fresh.JoinEntriesForJob(panda, task)
-			if len(re) != len(fe) {
-				t.Fatalf("JoinEntriesForJob(%d,%d) diverged after reuse", panda, task)
-			}
-			for i := range re {
-				if *re[i].File != *fe[i].File ||
-					!reflect.DeepEqual(evValues(re[i].Candidates), evValues(fe[i].Candidates)) {
-					t.Fatalf("JoinEntriesForJob(%d,%d)[%d] diverged after reuse", panda, task, i)
-				}
-			}
-		}
-	}
-}
-
 // TestPutCopiesRecords pins the arena-copy semantics: the store must not
 // retain the caller's pointers, so producers may reuse their structs.
 func TestPutCopiesRecords(t *testing.T) {

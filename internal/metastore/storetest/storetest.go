@@ -1,8 +1,8 @@
 // Package storetest provides the deterministic fuzzed put streams and
 // result-flattening helpers shared by the store-level equivalence tests —
-// shard-count equivalence, reset-reuse, the mid-run cut-point suite, and
-// the segment-merge fuzz target — so each new test layer reuses one
-// generator instead of copying it.
+// shard-count equivalence, the mid-run cut-point suite, and the
+// segment-merge fuzz target — so each new test layer reuses one generator
+// instead of copying it.
 //
 // A Stream is a pseudo-random but fully deterministic interleaving of job,
 // file, and transfer puts designed to stress the store's invariants:

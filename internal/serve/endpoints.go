@@ -8,6 +8,7 @@ import (
 
 	"panrucio/internal/analysis"
 	"panrucio/internal/core"
+	"panrucio/internal/experiments"
 	"panrucio/internal/metastore"
 	"panrucio/internal/obs"
 	"panrucio/internal/records"
@@ -15,7 +16,6 @@ import (
 	"panrucio/internal/sim"
 	"panrucio/internal/simtime"
 	"panrucio/internal/sweep"
-	"panrucio/internal/verify"
 )
 
 // Body is the uniform JSON envelope of the analysis endpoints: exactly
@@ -176,13 +176,12 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 func (s *Server) renderExperiment(st *state, id string, epoch uint64) ([]byte, error) {
 	b := &Body{Experiment: id, Digest: s.digest, Epoch: epoch}
 	if id == "e14" {
-		rep := experimentsRobustness(st.res.Config, s.opt.MatchWorkers)
-		b.Sweep = rep
+		b.Sweep = experimentsRobustness(st.res.Config.Seed, s.opt.MatchWorkers)
 		return json.Marshal(b)
 	}
 	if id == "e15" {
-		b.Sweep = experimentsDetection(st.res.Config, s.opt.MatchWorkers)
-		b.Table = experimentsOnline(st.res.Config)
+		b.Sweep = experimentsDetection(st.res.Config.Seed, s.opt.MatchWorkers)
+		b.Table = experimentsOnline(st.res.Config.Seed).Table()
 		return json.Marshal(b)
 	}
 	suite := st.getSuite(s.opt.MatchWorkers)
@@ -462,30 +461,15 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	writeBody(w, body)
 }
 
-// experimentsRobustness is the E14 renderer: the canned corruption-ramp
-// sweep at the serving config's seed. Kept behind a function var so the
-// golden-body tests can scale it down.
-var experimentsRobustness = func(cfg sim.Config, workers int) *sweep.Report {
-	return sweep.Run(
-		sweep.CorruptionRamp(sim.QuickConfig(cfg.Seed), sweep.DefaultRampRates()),
-		sweep.Options{Workers: workers})
-}
-
-// experimentsDetection and experimentsOnline are the two halves of the E15
-// renderer — the per-channel tamper-detection sweep and the online
-// detect-and-repair loop — at the serving config's seed. Function vars for
-// the same reason as experimentsRobustness.
-var experimentsDetection = func(cfg sim.Config, workers int) *sweep.Report {
-	return sweep.Run(
-		sweep.VerifyGrid(sim.QuickConfig(cfg.Seed), sweep.DefaultVerifyProb),
-		sweep.Options{Workers: workers})
-}
-
-var experimentsOnline = func(cfg sim.Config) *report.Table {
-	return verify.RunOnline(sim.QuickConfig(cfg.Seed), verify.OnlineOptions{
-		Tamper: &verify.TamperConfig{Prob: sweep.DefaultVerifyProb, Seed: cfg.Seed},
-	}).Table()
-}
+// The E14 and E15 renderers — the corruption-ramp sweep, the per-channel
+// tamper-detection sweep, and the online detect-and-repair loop, each at
+// the serving config's seed — sit behind function vars so the golden-body
+// tests can stub them out.
+var (
+	experimentsRobustness = experiments.RobustnessSweep
+	experimentsDetection  = experiments.DetectionSweep
+	experimentsOnline     = experiments.OnlineVerify
+)
 
 // violationView flattens a metastore.Violation for the /api/verify body.
 type violationView struct {

@@ -10,10 +10,10 @@ import (
 	"testing"
 	"time"
 
-	"panrucio/internal/report"
 	"panrucio/internal/sim"
 	"panrucio/internal/simtime"
 	"panrucio/internal/sweep"
+	"panrucio/internal/verify"
 )
 
 // do performs one in-process request against the server and returns the
@@ -40,14 +40,14 @@ func get(t *testing.T, s *Server, target string) []byte {
 func stubSweepExperiments(t *testing.T) {
 	t.Helper()
 	origRobust, origDetect, origOnline := experimentsRobustness, experimentsDetection, experimentsOnline
-	experimentsRobustness = func(cfg sim.Config, workers int) *sweep.Report {
+	experimentsRobustness = func(seed int64, workers int) *sweep.Report {
 		return &sweep.Report{}
 	}
-	experimentsDetection = func(cfg sim.Config, workers int) *sweep.Report {
+	experimentsDetection = func(seed int64, workers int) *sweep.Report {
 		return &sweep.Report{}
 	}
-	experimentsOnline = func(cfg sim.Config) *report.Table {
-		return &report.Table{Title: "E15 — online detect-and-repair loop (stub)"}
+	experimentsOnline = func(seed int64) *verify.OnlineReport {
+		return &verify.OnlineReport{}
 	}
 	t.Cleanup(func() {
 		experimentsRobustness, experimentsDetection, experimentsOnline = origRobust, origDetect, origOnline

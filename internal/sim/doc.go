@@ -5,10 +5,10 @@
 // sweep engine, and the benchmark harness.
 //
 // Entry points: Run executes one Config to its horizon and returns the
-// populated, frozen metastore plus run statistics; RunReusing is Run with
-// a caller-provided store (Reset first) so sweep workers reuse index-map
-// capacity across scenarios; QuickConfig and PaperConfig are the two
-// canned scenarios.
+// populated, frozen metastore plus run statistics; RunWithObserver is Run
+// with periodic mid-run checkpoints over the live store. Each run builds
+// its own fresh store, laid out by Config.Shards and Config.SegmentRows.
+// QuickConfig and PaperConfig are the two canned scenarios.
 //
 // Determinism is the package's load-bearing invariant: a Result is a pure
 // function of its Config, seed included. The root RNG is split per

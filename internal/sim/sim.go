@@ -23,7 +23,7 @@ import (
 // loop carries no instrumentation cost at all.
 var (
 	mRuns = obs.Default().Counter("sim_runs_total",
-		"completed scenario runs (Run, RunReusing, RunWithObserver)")
+		"completed scenario runs (Run, RunWithObserver)")
 	mRunSeconds = obs.Default().Histogram("sim_run_wall_seconds",
 		"wall time of one scenario run (simulation + final freeze)", obs.DefBuckets)
 	mEventsPerSec = obs.Default().Gauge("sim_events_per_sec",
@@ -73,7 +73,7 @@ type Config struct {
 	// the scenario untouched, so default outputs are bit-for-bit unchanged.
 	Scale float64
 
-	// Shards selects the metastore shard count for Run (0 picks
+	// Shards selects the shard count of the run's metastore (0 picks
 	// metastore.DefaultShards). Purely a performance knob: outputs are
 	// byte-identical for any value.
 	Shards int
@@ -134,51 +134,19 @@ type Result struct {
 
 // Run executes the scenario to its horizon and returns the populated
 // metastore plus run statistics. Deterministic for a given Config.
-func Run(cfg Config) *Result {
-	return RunReusing(cfg, metastore.NewShardedSegmented(cfg.Shards, cfg.SegmentRows))
-}
+func Run(cfg Config) *Result { return RunWithObserver(cfg, 0, nil) }
 
 // Observer is a mid-run checkpoint callback: it receives the virtual time
 // of the checkpoint and the live, un-frozen store, which answers every
 // query over exactly the records ingested so far (sealed segments + tail).
-// Observers must not ingest records or retain record pointers past the run
-// (the store is reset on reuse). Calling Seal or Freeze from the callback
-// is allowed — both are content-preserving reorganizations, and the
-// serving layer freezes at every checkpoint so its read windows serve a
-// store with no mutation paths reachable from queries.
+// Observers must not ingest records. Calling Seal or Freeze from the
+// callback is allowed — both are content-preserving reorganizations, and
+// the serving layer freezes at every checkpoint so its read windows serve
+// a store with no mutation paths reachable from queries.
 type Observer func(now simtime.VTime, store *metastore.Store)
 
-// RunWithObserver is Run with a periodic mid-run checkpoint: every `every`
-// of virtual time, obs is called with the live store. The observer rides
-// the scenario's own event engine but mutates nothing, so the simulation
-// trajectory — and the returned Result — is identical to Run's for the
-// same Config. every <= 0 or a nil obs degenerates to plain Run.
-func RunWithObserver(cfg Config, every simtime.VTime, obs Observer) *Result {
-	store := metastore.NewShardedSegmented(cfg.Shards, cfg.SegmentRows)
-	return runReusing(cfg, store, every, obs)
-}
-
-// RunReusing is Run with a caller-provided metastore: the store is Reset
-// first, so its index maps' capacity carries over from previous runs. This
-// is the entry point of the sweep engine, whose workers each own one store
-// across many scenarios. The returned Result is identical to Run's for the
-// same Config, but any records or query results obtained from the store
-// before the call are invalidated.
-func RunReusing(cfg Config, store *metastore.Store) *Result {
-	return runReusing(cfg, store, 0, nil)
-}
-
-// RunReusingObserved combines RunReusing and RunWithObserver: a
-// caller-provided store plus periodic mid-run checkpoints. The sweep
-// engine uses it to emit run traces from its worker-owned stores; the
-// Result (and every query output) is identical to RunReusing's for the
-// same Config.
-func RunReusingObserved(cfg Config, store *metastore.Store, every simtime.VTime, obs Observer) *Result {
-	return runReusing(cfg, store, every, obs)
-}
-
 // GridFor builds the topology grid the scenario runs on — the same
-// deterministic construction runReusing performs, including the CPUScale
+// deterministic construction RunWithObserver performs, including the CPUScale
 // adjustment. The serving layer uses it to give mid-run observers a grid
 // for analyses without extending the Observer signature.
 func GridFor(cfg Config) *topology.Grid {
@@ -194,8 +162,13 @@ func GridFor(cfg Config) *topology.Grid {
 	return grid
 }
 
-func runReusing(cfg Config, store *metastore.Store, every simtime.VTime, obs Observer) *Result {
-	store.Reset()
+// RunWithObserver is Run with a periodic mid-run checkpoint: every `every`
+// of virtual time, obs is called with the live store. The observer rides
+// the scenario's own event engine but mutates nothing, so the simulation
+// trajectory — and the returned Result — is identical to Run's for the
+// same Config. every <= 0 or a nil obs degenerates to plain Run.
+func RunWithObserver(cfg Config, every simtime.VTime, obs Observer) *Result {
+	store := metastore.NewShardedSegmented(cfg.Shards, cfg.SegmentRows)
 	cfg.fill()
 	if cfg.Scale > 0 && cfg.Scale != 1 {
 		cfg.Workload = cfg.Workload.Scaled(cfg.Scale)

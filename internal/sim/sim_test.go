@@ -3,7 +3,6 @@ package sim
 import (
 	"testing"
 
-	"panrucio/internal/metastore"
 	"panrucio/internal/records"
 	"panrucio/internal/simtime"
 	"panrucio/internal/topology"
@@ -187,34 +186,6 @@ func TestCorruptionDisableFlows(t *testing.T) {
 	}
 }
 
-// TestRunReusingShardedStore is TestRunReusingMatchesRun on a non-default
-// shard count: a reused sharded store (with its intern table and arena
-// high-water marks reset between scenarios) must reproduce a fresh run.
-func TestRunReusingShardedStore(t *testing.T) {
-	fresh := Run(QuickConfig(3))
-
-	store := metastore.NewSharded(4)
-	RunReusing(QuickConfig(7), store) // dirty the store with another scenario
-	interned := store.InternedStrings()
-	reused := RunReusing(QuickConfig(3), store)
-
-	if fresh.Store.TransferCount() != reused.Store.TransferCount() ||
-		fresh.Store.JobCount() != reused.Store.JobCount() ||
-		fresh.MovedBytes != reused.MovedBytes {
-		t.Fatal("sharded reused store diverged from fresh run")
-	}
-	if interned > 0 && reused.Store.InternedStrings() == 0 {
-		t.Fatal("reused store interned nothing")
-	}
-	fe := fresh.Store.Transfers(0, 0)
-	re := reused.Store.Transfers(0, 0)
-	for i := range fe {
-		if *fe[i] != *re[i] {
-			t.Fatalf("event %d diverged: %+v vs %+v", i, *fe[i], *re[i])
-		}
-	}
-}
-
 // TestScaleGrowsVolume pins the -scale contract: Scale > 1 multiplies the
 // event volume, Scale 1 (and 0) are exact no-ops on the output.
 func TestScaleGrowsVolume(t *testing.T) {
@@ -235,35 +206,5 @@ func TestScaleGrowsVolume(t *testing.T) {
 	}
 	if got.SubmittedTasks < base.SubmittedTasks*2 {
 		t.Fatalf("Scale=3 submitted %d tasks vs base %d, want ≥2x", got.SubmittedTasks, base.SubmittedTasks)
-	}
-}
-
-func TestRunReusingMatchesRun(t *testing.T) {
-	fresh := Run(QuickConfig(3))
-
-	store := metastore.New()
-	RunReusing(QuickConfig(7), store) // dirty the store with another scenario
-	reused := RunReusing(QuickConfig(3), store)
-
-	if fresh.Store.TransferCount() != reused.Store.TransferCount() ||
-		fresh.Store.JobCount() != reused.Store.JobCount() ||
-		fresh.Store.TransfersWithTaskID() != reused.Store.TransfersWithTaskID() {
-		t.Fatalf("reused store diverged: %d/%d/%d vs %d/%d/%d",
-			fresh.Store.TransferCount(), fresh.Store.JobCount(), fresh.Store.TransfersWithTaskID(),
-			reused.Store.TransferCount(), reused.Store.JobCount(), reused.Store.TransfersWithTaskID())
-	}
-	if fresh.SubmittedJobs != reused.SubmittedJobs || fresh.MovedBytes != reused.MovedBytes ||
-		fresh.Corruption != reused.Corruption {
-		t.Fatalf("run statistics diverged: %+v vs %+v", fresh, reused)
-	}
-	fj := fresh.Store.Jobs(fresh.WindowFrom, fresh.WindowTo, records.LabelUser)
-	rj := reused.Store.Jobs(reused.WindowFrom, reused.WindowTo, records.LabelUser)
-	if len(fj) != len(rj) {
-		t.Fatalf("windowed job sets diverged: %d vs %d", len(fj), len(rj))
-	}
-	for i := range fj {
-		if fj[i].PandaID != rj[i].PandaID || fj[i].EndTime != rj[i].EndTime {
-			t.Fatalf("job %d diverged: %+v vs %+v", i, fj[i], rj[i])
-		}
 	}
 }

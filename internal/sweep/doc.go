@@ -7,11 +7,10 @@
 // A grid is a cross product of Axis values over a base sim.Config,
 // built with Expand or one of the canned constructors (CorruptionRamp —
 // experiment E14 —, SeedFanOut, MixGrid). Run executes the scenarios over
-// a bounded worker pool; each worker goroutine owns one metastore that
-// sim.RunReusing resets between scenarios, so index-map capacity is
-// reused instead of reallocated. Per scenario the engine runs the three
-// matching passes (analysis.CompareMethodsParallel) against the frozen
-// store and evaluates analysis.ShapeChecks.
+// a bounded worker pool; each scenario runs through sim.Run on a fresh
+// metastore laid out by its own Config. Per scenario the engine runs the
+// three matching passes (analysis.CompareMethodsParallel) against the
+// frozen store and evaluates analysis.ShapeChecks.
 //
 // Determinism invariant: a Report is a pure function of the scenario
 // list. Outcomes land at their scenario's index regardless of worker

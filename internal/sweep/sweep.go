@@ -7,7 +7,6 @@ import (
 
 	"panrucio/internal/analysis"
 	"panrucio/internal/core"
-	"panrucio/internal/metastore"
 	"panrucio/internal/obs"
 	"panrucio/internal/records"
 	"panrucio/internal/sim"
@@ -27,14 +26,6 @@ type Options struct {
 	// MatchWorkers is the per-scenario matcher fan-out passed to
 	// analysis.CompareMethodsParallel (<= 0 runs the passes inline).
 	MatchWorkers int
-	// Shards selects the shard count of each worker's metastore (<= 0
-	// picks metastore.DefaultShards). Purely a performance knob: the
-	// report is byte-identical for any value.
-	Shards int
-	// SegmentRows selects the per-shard segment-seal threshold of each
-	// worker's metastore (<= 0 picks metastore.DefaultSegmentRows). Like
-	// Shards, the report is byte-identical for any value.
-	SegmentRows int
 	// Trace, when non-nil, receives one checkpoint event per TraceEvery of
 	// virtual time per scenario (named by scenario id) plus one span per
 	// scenario. The trace writer serializes concurrent workers' records;
@@ -96,8 +87,8 @@ type ActivityCount struct {
 }
 
 // Outcome aggregates everything the sweep report keeps per scenario. It is
-// pure value data — no store, grid, or record pointers — because the
-// worker's store is reset and reused by the next scenario.
+// pure value data — no store, grid, or record pointers — so a scenario's
+// store can be collected as soon as its outcome is built.
 type Outcome struct {
 	ID                  string           `json:"id"`
 	X                   float64          `json:"x"`
@@ -120,9 +111,9 @@ type Outcome struct {
 }
 
 // Run executes every scenario over a bounded worker pool and aggregates
-// the per-scenario outcomes into one report. Each worker goroutine owns a
-// single metastore reused (via sim.RunReusing) across the scenarios it
-// draws, so index-map capacity survives from one scenario to the next.
+// the per-scenario outcomes into one report. Every scenario runs on a
+// fresh metastore built by sim.Run from its own Config, so the layout
+// knobs (sim.Config.Shards, SegmentRows) travel with the scenario.
 //
 // The report depends only on the scenario list: outcomes land at their
 // scenario's index regardless of which worker computes them or in which
@@ -133,23 +124,14 @@ func Run(scenarios []Scenario, opt Options) *Report {
 	opt.fill(len(scenarios))
 	outcomes := make([]Outcome, len(scenarios))
 
-	if opt.Workers <= 1 {
-		store := metastore.NewShardedSegmented(opt.Shards, opt.SegmentRows)
-		for i, sc := range scenarios {
-			outcomes[i] = evaluate(sc, store, opt)
-		}
-		return &Report{Outcomes: outcomes}
-	}
-
 	idx := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < opt.Workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			store := metastore.NewShardedSegmented(opt.Shards, opt.SegmentRows)
 			for i := range idx {
-				outcomes[i] = evaluate(scenarios[i], store, opt)
+				outcomes[i] = evaluate(scenarios[i], opt)
 			}
 		}()
 	}
@@ -161,23 +143,23 @@ func Run(scenarios []Scenario, opt Options) *Report {
 	return &Report{Outcomes: outcomes}
 }
 
-// evaluate runs one scenario end to end on the worker's store: simulate,
-// freeze, run the three matching passes, evaluate the shape checks, and
-// flatten everything into value data. With Options.Trace set, the run is
-// observed through the checkpoint seam (records named by scenario id) and
-// wrapped in a per-scenario span — the Outcome is identical either way.
-func evaluate(sc Scenario, store *metastore.Store, opt Options) Outcome {
+// evaluate runs one scenario end to end: simulate, freeze, run the three
+// matching passes, evaluate the shape checks, and flatten everything into
+// value data. With Options.Trace set, the run is observed through the
+// checkpoint seam (records named by scenario id) and wrapped in a
+// per-scenario span — the Outcome is identical either way.
+func evaluate(sc Scenario, opt Options) Outcome {
 	var res *sim.Result
 	if opt.Trace != nil {
 		t0 := time.Now()
-		res = sim.RunReusingObserved(sc.Config, store, opt.TraceEvery,
+		res = sim.RunWithObserver(sc.Config, opt.TraceEvery,
 			sim.TraceObserver(opt.Trace, sc.ID))
 		opt.Trace.Span(sc.ID, int64(res.WindowTo), time.Since(t0), map[string]any{
 			"x":             sc.X,
 			"stored_events": res.Store.TransferCount(),
 		})
 	} else {
-		res = sim.RunReusing(sc.Config, store)
+		res = sim.Run(sc.Config)
 	}
 	jobs := res.Store.Jobs(res.WindowFrom, res.WindowTo, records.LabelUser)
 	cmp := analysis.CompareMethodsParallel(core.NewMatcher(res.Store), jobs, opt.MatchWorkers)
@@ -187,7 +169,7 @@ func evaluate(sc Scenario, store *metastore.Store, opt Options) Outcome {
 	// measured against ingest corruption), tamper the sealed segments at
 	// rest and reconcile the commitment audit against the ground-truth
 	// log. The pre-tamper audit pins zero false positives. The store is
-	// mutated, but the next scenario Resets it, so nothing leaks.
+	// mutated, but it belongs to this scenario alone.
 	var det *verify.Detection
 	var tlog *verify.TamperLog
 	if sc.Tamper != nil {

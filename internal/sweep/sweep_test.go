@@ -66,13 +66,17 @@ func TestSweepByteIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// The sweep report must also be byte-identical for any metastore shard
-// count — the per-worker store's layout is a performance knob, never an
-// output parameter.
+// The sweep report must also be byte-identical for any store layout —
+// each scenario's shard count and segment size are performance knobs,
+// never output parameters.
 func TestSweepByteIdenticalAcrossShards(t *testing.T) {
-	scenarios := CorruptionRamp(rampConfig(1), []float64{0, 0.5})
-	one := Run(scenarios, Options{Workers: 2, Shards: 1})
-	eight := Run(scenarios, Options{Workers: 2, MatchWorkers: 2, Shards: 8})
+	withLayout := func(shards, segRows int) []Scenario {
+		cfg := rampConfig(1)
+		cfg.Shards, cfg.SegmentRows = shards, segRows
+		return CorruptionRamp(cfg, []float64{0, 0.5})
+	}
+	one := Run(withLayout(1, 0), Options{Workers: 2})
+	eight := Run(withLayout(8, 4096), Options{Workers: 2, MatchWorkers: 2})
 
 	if a, b := one.Markdown(), eight.Markdown(); a != b {
 		t.Errorf("markdown diverged across shard counts:\n--- shards=1 ---\n%s\n--- shards=8 ---\n%s", a, b)
